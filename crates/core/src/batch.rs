@@ -31,10 +31,10 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use dram_units::{Joules, Seconds};
 
@@ -476,7 +476,9 @@ impl ErrorCache {
 /// A memoizing store of built models keyed by description content.
 ///
 /// Thread-safe; lookups hold the lock only for the bucket scan, model
-/// construction runs outside it so concurrent builders do not serialize.
+/// construction runs outside it so builders of different descriptions do
+/// not serialize, and concurrent first lookups of one description build
+/// it once.
 /// Validation failures are memoized too, in a bounded negative cache, so
 /// a client retrying a known-bad description fails fast instead of
 /// re-running validation each time.
@@ -488,6 +490,10 @@ impl ErrorCache {
 pub struct ModelCache {
     buckets: Mutex<HashMap<u64, Bucket>>,
     errors: Mutex<ErrorCache>,
+    /// Content keys with a build in progress: a concurrent first lookup
+    /// of the same key waits on `built` instead of building again.
+    building: Mutex<HashSet<u64>>,
+    built: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     error_hits: AtomicU64,
@@ -535,15 +541,35 @@ impl ModelCache {
             dram_obs::journal::note(dram_obs::journal::EventKind::CacheHit, 0);
             return Ok((hit, true));
         }
-        let known_bad = self
-            .errors
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .lookup(key, desc);
-        if let Some(err) = known_bad {
-            self.error_hits.fetch_add(1, Ordering::Relaxed);
-            return Err(err);
+        // Single flight per content key: the first miss builds, and
+        // concurrent lookups of the same key wait for its model (or its
+        // error, through the negative cache) instead of building again.
+        let mut building = self.building.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            // Re-checked under the `building` lock: a builder publishes
+            // its result before it leaves the set.
+            if let Some(hit) = self.lookup(key, desc) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                dram_obs::journal::note(dram_obs::journal::EventKind::CacheHit, 0);
+                return Ok((hit, true));
+            }
+            let known_bad = self
+                .errors
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .lookup(key, desc);
+            if let Some(err) = known_bad {
+                self.error_hits.fetch_add(1, Ordering::Relaxed);
+                return Err(err);
+            }
+            if building.insert(key) {
+                break;
+            }
+            building = self.built.wait(building).unwrap_or_else(PoisonError::into_inner);
         }
+        drop(building);
+        // Leaves the set on every exit, including an unwinding build.
+        let _flight = Flight { cache: self, key };
         self.misses.fetch_add(1, Ordering::Relaxed);
         dram_obs::journal::note(dram_obs::journal::EventKind::CacheMiss, 0);
         // Fault site outside every lock: an injected build panic unwinds
@@ -559,15 +585,12 @@ impl ModelCache {
                 return Err(err);
             }
         };
-        let mut buckets = self.buckets.lock().unwrap_or_else(PoisonError::into_inner);
-        let bucket = buckets.entry(key).or_default();
-        // A concurrent builder may have won the race; keep its model so
-        // every caller shares one allocation. This call still built a
-        // model, so it reports a miss either way.
-        if let Some((_, existing)) = bucket.iter().find(|(d, _)| d == desc) {
-            return Ok((Arc::clone(existing), false));
-        }
-        bucket.push((desc.clone(), Arc::clone(&built)));
+        self.buckets
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_default()
+            .push((desc.clone(), Arc::clone(&built)));
         Ok((built, false))
     }
 
@@ -633,6 +656,24 @@ impl ModelCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// An in-progress build of one content key; dropping it (on return or
+/// unwind) releases the key and wakes every lookup waiting on it.
+struct Flight<'a> {
+    cache: &'a ModelCache,
+    key: u64,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        self.cache
+            .building
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        self.cache.built.notify_all();
     }
 }
 
@@ -1008,6 +1049,30 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::reference::ddr3_1g_x16_55nm;
+
+    #[test]
+    fn concurrent_first_lookups_build_once() {
+        let cache = ModelCache::new();
+        let threads = 8;
+        for round in 0..10 {
+            let mut desc = ddr3_1g_x16_55nm();
+            desc.name = format!("single flight {round}");
+            let start = std::sync::Barrier::new(threads);
+            let models: Vec<Arc<Dram>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            cache.get_or_build(&desc).expect("builds")
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("lookup")).collect()
+            });
+            assert!(models.iter().all(|m| Arc::ptr_eq(m, &models[0])), "round {round}");
+        }
+        assert_eq!(cache.stats(), CacheStats { hits: 70, misses: 10 });
+    }
 
     #[test]
     fn map_is_bit_identical_across_thread_counts() {

@@ -87,6 +87,26 @@ fn injected_build_panic_does_not_poison_the_cache() {
     assert_eq!(cache.len(), 1);
 }
 
+/// Concurrent lookups waiting on a build that panics are released, not
+/// hung: one of them builds next, the rest share its model.
+#[test]
+fn injected_build_panic_releases_concurrent_waiters() {
+    let _x = exclusive();
+    dram_faults::arm(
+        &dram_faults::Plan::parse("seed=4;engine.build=panic:times=1").expect("spec"),
+    );
+    let engine = EvalEngine::new().threads(4);
+    let out = engine.evaluate_many(&vec![ddr3_1g_x16_55nm(); 4]);
+    dram_faults::disarm();
+    let panicked = out
+        .iter()
+        .filter(|r| matches!(r, Err(ModelError::Panicked { .. })))
+        .count();
+    assert_eq!(panicked, 1, "{out:?}");
+    assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 3);
+    assert_eq!(engine.cache_stats().misses, 2, "the panicked build plus one rebuild");
+}
+
 #[test]
 fn disarmed_runs_are_bit_identical_to_an_unfaulted_engine() {
     let _x = exclusive();

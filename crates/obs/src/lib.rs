@@ -49,8 +49,8 @@ pub mod span;
 pub use export::{chrome_trace, escape_help, escape_label, PromWriter};
 pub use metrics::{bucket_index, bucket_upper_us, Counter, Gauge, Histogram, Metric, Registry, BUCKETS};
 pub use span::{
-    clear, drain, enabled, register_thread, rollup, set_enabled, snapshot, span, ManualSpan,
-    Profile, Rollup, SpanGuard, SpanRecord, ThreadInfo,
+    clear, drain, enabled, profile_window, register_thread, rollup, set_enabled, snapshot, span,
+    ManualSpan, Profile, ProfileWindow, Rollup, SpanGuard, SpanRecord, ThreadInfo,
 };
 
 #[cfg(test)]
@@ -176,6 +176,34 @@ mod tests {
         assert_eq!(rolled[1].total_us, 40);
         assert!((rolled[1].mean_us - 20.0).abs() < 1e-12);
         assert_eq!(rolled[1].max_us, 30);
+    }
+
+    #[test]
+    fn overlapping_windows_each_see_their_own_interval() {
+        let _x = exclusive();
+        let names = |p: &Profile| p.spans.iter().map(|s| s.name.to_string()).collect::<Vec<_>>();
+        let first = profile_window();
+        let second = profile_window();
+        assert!(!enabled(), "windows leave the process switch alone");
+        drop(span("t.window.both"));
+        let first = first.close();
+        std::thread::sleep(Duration::from_millis(2));
+        drop(span("t.window.second"));
+        let second = second.close();
+        assert_eq!(names(&first), ["t.window.both"]);
+        assert_eq!(names(&second), ["t.window.both", "t.window.second"]);
+        // The last holder gone, recording stops and the sink is empty.
+        drop(span("t.window.after"));
+        assert!(drain().spans.is_empty());
+
+        // A pre-armed switch is one more holder: closing a window neither
+        // stops recording nor steals the switch's spans.
+        set_enabled(true);
+        drop(span("t.window.before"));
+        drop(profile_window());
+        drop(span("t.window.still"));
+        set_enabled(false);
+        assert_eq!(names(&drain()), ["t.window.before", "t.window.still"]);
     }
 
     #[test]

@@ -33,7 +33,6 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -317,19 +316,15 @@ fn reactor(conns: &ConnTable) -> Response {
     Response::json(200, body.to_string())
 }
 
-/// Serializes `GET /debug/profile`: only one window may be armed at a
-/// time, or two concurrent calls would fight over the enable switch and
-/// each other's spans.
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
 /// `GET /debug/profile?ms=N`: arm span recording for N milliseconds on
 /// the live server, then return the captured Chrome-trace JSON.
 ///
 /// Holds this worker for the window (clamped to 1..=10 000 ms) — that
-/// is the point: the caller wants spans from *now*. If the server
-/// already records spans (started with `--profile`), the window leaves
-/// recording on and returns a snapshot of everything captured so far
-/// instead of draining, so the startup profile is not stolen.
+/// is the point: the caller wants spans from *now*. Windows are
+/// reference-counted [`dram_obs::ProfileWindow`]s: concurrent windows
+/// (on this server or another in the process) each return the spans
+/// that overlap their own interval, and a server started with
+/// `--profile` keeps its startup profile.
 fn profile(req: &Request) -> Response {
     let ms = match req.query_param("ms") {
         None => 100,
@@ -343,20 +338,9 @@ fn profile(req: &Request) -> Response {
             }
         },
     };
-    if PROFILING.swap(true, Ordering::SeqCst) {
-        return Response::error(409, "a profiling window is already armed, retry shortly");
-    }
-    let was_enabled = dram_obs::enabled();
-    dram_obs::set_enabled(true);
+    let window = dram_obs::profile_window();
     std::thread::sleep(Duration::from_millis(ms));
-    let profile = if was_enabled {
-        dram_obs::snapshot()
-    } else {
-        dram_obs::set_enabled(false);
-        dram_obs::drain()
-    };
-    PROFILING.store(false, Ordering::SeqCst);
-    Response::json(200, dram_obs::chrome_trace(&profile).to_string())
+    Response::json(200, dram_obs::chrome_trace(&window.close()).to_string())
 }
 
 #[cfg(test)]
