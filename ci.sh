@@ -16,7 +16,8 @@ echo "==> cargo build --workspace --release"
 cargo build --workspace --release --offline
 
 echo "==> cargo test --workspace"
-cargo test --workspace --release -q --offline
+# --no-fail-fast: one failing test binary must not hide another.
+cargo test --workspace --release -q --offline --no-fail-fast
 
 if [[ $fast -eq 0 ]]; then
   echo "==> cargo clippy (deny warnings)"

@@ -40,24 +40,32 @@
 //! under the shared [`retry`] policy, optional hedging, and a federated
 //! `/metrics`. See `docs/SHARDING.md`.
 //!
+//! [`client`] is the workspace's one HTTP client: the router's upstream
+//! hop uses it, and so do the benches, tests and examples.
+//!
 //! ## In-process quickstart
 //!
 //! ```
-//! use std::io::{Read, Write};
+//! use std::time::Duration;
+//! use dram_server::client::{self, Request};
 //!
 //! let handle = dram_server::serve("127.0.0.1:0", dram_server::ServerConfig::default())
 //!     .expect("bind");
-//! let mut conn = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
-//! conn.write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
-//!     .expect("send");
-//! let mut reply = String::new();
-//! conn.read_to_string(&mut reply).expect("recv");
-//! assert!(reply.starts_with("HTTP/1.1 200"));
+//! let body = r#"{"preset":"ddr3_1g_x16_55nm"}"#;
+//! let reply = client::call(
+//!     handle.local_addr(),
+//!     &Request::post("/v1/evaluate", body),
+//!     Duration::from_secs(10),
+//! )
+//! .expect("evaluate");
+//! assert_eq!(reply.status, 200);
+//! assert!(reply.text().contains("\"idd_ma\""));
 //! handle.shutdown();
 //! ```
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod client;
 pub mod debug;
 pub mod http;
 pub mod metrics;

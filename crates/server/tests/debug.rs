@@ -6,11 +6,11 @@
 //! The journal is process-global, so every test that configures it runs
 //! under one mutex and restores size 0 before releasing it.
 
-use std::io::{Read, Write};
-use std::net::{IpAddr, SocketAddr, TcpStream, UdpSocket};
+use std::net::{IpAddr, SocketAddr, UdpSocket};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
+use dram_server::client::{self, Request};
 use dram_server::{serve, ServerConfig, ServerHandle};
 use dram_units::json::Value;
 
@@ -28,34 +28,10 @@ fn start() -> ServerHandle {
 
 /// One close-per-request HTTP exchange; returns (status, body, id).
 fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
-    s.write_all(
-        format!(
-            "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\n\
-             content-length: {}\r\nconnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-    .expect("send");
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("recv");
-    let status = reply
-        .split(' ')
-        .nth(1)
-        .and_then(|t| t.parse().ok())
-        .expect("status line");
-    let id = reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("x-request-id: "))
-        .unwrap_or_default()
-        .to_string();
-    let payload = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload, id)
+    let request = Request::new(method, path).body(body);
+    let reply = client::call(addr, &request, Duration::from_secs(30)).expect("exchange");
+    let id = reply.header("x-request-id").unwrap_or_default().to_string();
+    (reply.status, reply.text().into_owned(), id)
 }
 
 #[test]
