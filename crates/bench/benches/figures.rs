@@ -13,7 +13,11 @@ fn main() {
     let budget = Duration::from_millis(300);
     let measurements: Vec<_> = ReportId::ALL
         .iter()
-        .map(|id| bench(&format!("reports/{}", id.command()), budget, 10, || id.generate()))
+        .map(|id| {
+            bench(&format!("reports/{}", id.command()), budget, 10, || {
+                id.generate()
+            })
+        })
         .collect();
     print!("{}", render(&measurements));
 }

@@ -22,7 +22,9 @@ fn main() {
     measurements.push(bench_default("idd_report", || dram.idd()));
 
     let pattern = Pattern::paper_example();
-    measurements.push(bench_default("pattern_power", || dram.pattern_power(&pattern)));
+    measurements.push(bench_default("pattern_power", || {
+        dram.pattern_power(&pattern)
+    }));
 
     let text = dram_dsl::write(&desc, Some(&pattern));
     measurements.push(bench_default("dsl_parse", || {

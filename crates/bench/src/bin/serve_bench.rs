@@ -199,7 +199,11 @@ fn summarize(
     let mut seen_ids: HashSet<String> = HashSet::new();
     for run in results {
         let body = run.body.as_ref();
-        assert_eq!(body, Some(&first_body), "response bodies diverged across clients");
+        assert_eq!(
+            body,
+            Some(&first_body),
+            "response bodies diverged across clients"
+        );
         latencies.extend(run.latencies);
         for id in run.ids {
             assert!(seen_ids.insert(id.clone()), "request id `{id}` repeated");
@@ -255,7 +259,10 @@ fn run_stage(
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
     summarize(name, server_threads, clients, started, results)
 }
@@ -302,7 +309,10 @@ fn run_keepalive_stage(
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
     summarize(name, server_threads, clients, started, results)
 }
@@ -318,7 +328,12 @@ fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<&str>) {
         let mut conn = Connection::open(addr, TIMEOUT)
             .unwrap_or_else(|e| panic!("soak connect {i}/{count}: {e}"));
         let reply = conn.call(&Request::get("/healthz")).expect("soak reply");
-        assert_eq!(reply.status, 200, "soak connection {i} got {}", reply.text());
+        assert_eq!(
+            reply.status,
+            200,
+            "soak connection {i} got {}",
+            reply.text()
+        );
         conns.push(conn);
     }
     println!(
@@ -368,7 +383,10 @@ fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<&str>) {
             }
         }
     }
-    assert_eq!(stray, 0, "drain pushed {stray} stray bytes to idle connections");
+    assert_eq!(
+        stray, 0,
+        "drain pushed {stray} stray bytes to idle connections"
+    );
     println!("soak: drain closed all {count} idle connections, zero stray bytes");
 }
 
@@ -444,7 +462,10 @@ fn run_journal_verification(threads: usize, clients: usize) {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
     dram_obs::set_enabled(false);
 
@@ -495,9 +516,9 @@ fn run_journal_verification(threads: usize, clients: usize) {
             .and_then(Value::as_array)
             .expect("timeline has spans");
         assert!(
-            spans.iter().any(|s| {
-                s.get("name").and_then(Value::as_str) == Some("server.request")
-            }),
+            spans
+                .iter()
+                .any(|s| { s.get("name").and_then(Value::as_str) == Some("server.request") }),
             "timeline for {id} did not join the request span: {first}"
         );
     }
@@ -516,7 +537,10 @@ fn run_journal_verification(threads: usize, clients: usize) {
         .get("traceEvents")
         .and_then(Value::as_array)
         .expect("profile output has traceEvents");
-    println!("journal: /debug/profile?ms=50 returned {} trace events", events.len());
+    println!(
+        "journal: /debug/profile?ms=50 returned {} trace events",
+        events.len()
+    );
 
     handle.shutdown();
     dram_obs::journal::configure(0);
@@ -579,8 +603,7 @@ fn main() {
     }
 
     let eval_body = r#"{"preset":"ddr3_1g_55nm"}"#;
-    let batch_body =
-        r#"{"requests":[{"preset":"ddr3_1g_55nm"},{"preset":"ddr3_1g_x16_55nm"}]}"#;
+    let batch_body = r#"{"requests":[{"preset":"ddr3_1g_55nm"},{"preset":"ddr3_1g_x16_55nm"}]}"#;
     let mut stages: Vec<StageResult> = Vec::new();
 
     // One stage per server thread count; the model cache is the shared
@@ -666,10 +689,16 @@ fn main() {
         let (a, b) = (&stages[i], &stages[i + per]);
         if a.body != b.body {
             identical = false;
-            eprintln!("MISMATCH: {} vs {} returned different bodies", a.name, b.name);
+            eprintln!(
+                "MISMATCH: {} vs {} returned different bodies",
+                a.name, b.name
+            );
         }
     }
-    assert!(identical, "responses are not bit-identical across thread counts");
+    assert!(
+        identical,
+        "responses are not bit-identical across thread counts"
+    );
 
     println!(
         "{:44}  {:>10}  {:>9}  {:>9}  {:>9}  {:>9}",
@@ -681,7 +710,10 @@ fn main() {
             s.name, s.throughput_rps, s.p50_us, s.p95_us, s.p99_us, s.max_us
         );
     }
-    println!("bit-identical across 1 vs {} server threads: yes", args.threads);
+    println!(
+        "bit-identical across 1 vs {} server threads: yes",
+        args.threads
+    );
 
     // Acceptance: connection reuse must pay. Pipelined keep-alive on the
     // small-request path has to beat close-per-request by at least 2×.

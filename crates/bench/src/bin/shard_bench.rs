@@ -340,7 +340,11 @@ fn drive_affinity(addr: SocketAddr, items: &[WorkItem], policy: RetryPolicy, see
                 seed ^ (((round as u64) << 32) | i as u64),
             );
             assert_eq!(r.status, 200, "affinity request failed: {}", r.text());
-            assert_eq!(r.text(), item.canon.as_str(), "description {i} diverged from canon");
+            assert_eq!(
+                r.text(),
+                item.canon.as_str(),
+                "description {i} diverged from canon"
+            );
             retries += u64::from(attempts - 1);
         }
     }
@@ -392,7 +396,10 @@ fn routed_by_node(doc: &Value) -> HashMap<String, f64> {
         .iter()
         .map(|n| {
             (
-                n.get("addr").and_then(Value::as_str).expect("addr").to_string(),
+                n.get("addr")
+                    .and_then(Value::as_str)
+                    .expect("addr")
+                    .to_string(),
                 n.get("routed").and_then(Value::as_f64).expect("routed"),
             )
         })
@@ -575,7 +582,10 @@ fn main() {
     );
 
     // Stage 2: seeded node murder under live load.
-    let spec = format!("seed={};node.kill=kill:p=0.85:times={}", args.seed, args.kills);
+    let spec = format!(
+        "seed={};node.kill=kill:p=0.85:times={}",
+        args.seed, args.kills
+    );
     let plan = dram_faults::Plan::parse(&spec).expect("fault spec");
     dram_faults::arm(&plan);
     println!("armed: {}", plan.render());
@@ -594,11 +604,15 @@ fn main() {
         let items = &all_items;
         let handles: Vec<_> = (0..args.clients)
             .map(|client| {
-                s.spawn(move || shard_client(ring_addr, items, per_client, policy, client, args.seed))
+                s.spawn(move || {
+                    shard_client(ring_addr, items, per_client, policy, client, args.seed)
+                })
             })
             .collect();
-        let tallies: Vec<ClientTally> =
-            handles.into_iter().map(|h| h.join().expect("client")).collect();
+        let tallies: Vec<ClientTally> = handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect();
         // The kill draw is seeded but the load's wall-clock isn't: if
         // the fixed request count finished before the budget was spent,
         // keep the load open until every kill lands (the schedule stays
@@ -608,10 +622,19 @@ fn main() {
         let mut i = 0usize;
         while kills.load(Ordering::Relaxed) < args.kills && Instant::now() < deadline {
             let item = &all_items[i % all_items.len()];
-            let (r, attempts) =
-                request_with_retry(ring_addr, item.path, &item.body, policy, args.seed ^ i as u64);
+            let (r, attempts) = request_with_retry(
+                ring_addr,
+                item.path,
+                &item.body,
+                policy,
+                args.seed ^ i as u64,
+            );
             assert_eq!(r.status, 200, "hold-open request failed: {}", r.text());
-            assert_eq!(r.text(), item.canon.as_str(), "hold-open response diverged from canon");
+            assert_eq!(
+                r.text(),
+                item.canon.as_str(),
+                "hold-open response diverged from canon"
+            );
             extra.requests += 1;
             extra.retries += u64::from(attempts - 1);
             extra.worst_attempts = extra.worst_attempts.max(attempts);
@@ -633,7 +656,10 @@ fn main() {
         worst_attempts,
     } = extra;
     let kills = kills.load(Ordering::Relaxed);
-    assert!(kills >= 1, "no node was killed; the failover stage proved nothing");
+    assert!(
+        kills >= 1,
+        "no node was killed; the failover stage proved nothing"
+    );
     let fired: HashMap<&str, u64> = dram_faults::injected().into_iter().collect();
     assert_eq!(
         fired.get("node.kill").copied().unwrap_or(0),
@@ -649,8 +675,8 @@ fn main() {
     // Stage 3: failover observability + clean re-absorption.
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        let r = client::call(ring_addr, &Request::get("/healthz"), TIMEOUT)
-            .expect("router healthz");
+        let r =
+            client::call(ring_addr, &Request::get("/healthz"), TIMEOUT).expect("router healthz");
         let doc = Value::parse(&r.text()).expect("healthz JSON");
         if metric(&doc, "nodes_up") as usize == args.nodes {
             break;
@@ -665,15 +691,27 @@ fn main() {
     let doc = router_metrics(ring_addr);
     let failovers = metric(&doc, "failovers_total");
     let router_retries = metric(&doc, "retries_total");
-    assert!(failovers >= 1.0, "kills fired but the router recorded no failover");
+    assert!(
+        failovers >= 1.0,
+        "kills fired but the router recorded no failover"
+    );
 
     let before = routed_by_node(&doc);
     let mut reabsorb_retries = 0u64;
     for (i, item) in all_items.iter().enumerate() {
-        let (r, attempts) =
-            request_with_retry(ring_addr, item.path, &item.body, policy, args.seed ^ ((i as u64) << 16));
+        let (r, attempts) = request_with_retry(
+            ring_addr,
+            item.path,
+            &item.body,
+            policy,
+            args.seed ^ ((i as u64) << 16),
+        );
         assert_eq!(r.status, 200, "re-absorption request failed: {}", r.text());
-        assert_eq!(r.text(), item.canon.as_str(), "re-absorption response diverged from canon");
+        assert_eq!(
+            r.text(),
+            item.canon.as_str(),
+            "re-absorption response diverged from canon"
+        );
         reabsorb_retries += u64::from(attempts - 1);
     }
     let after = routed_by_node(&router_metrics(ring_addr));
@@ -708,8 +746,12 @@ fn main() {
         },
     )
     .expect("bind random router");
-    let random_retries =
-        drive_affinity(random_router.local_addr(), &affinity_items, policy, args.seed);
+    let random_retries = drive_affinity(
+        random_router.local_addr(),
+        &affinity_items,
+        policy,
+        args.seed,
+    );
     let doc = settled_metrics(random_router.local_addr());
     let random_hits = metric(&doc, "backend_cache_hits_aggregate");
     let random_misses = metric(&doc, "backend_cache_misses_aggregate");

@@ -137,19 +137,16 @@ fn main() {
 
     // Reference outputs for the bit-identity check, computed once
     // outside the timed loops.
-    let sweep_full =
-        sweep_with_full_rebuild(&EvalEngine::new().threads(threads), &desc, VARIATION)
-            .expect("reference sweep runs");
+    let sweep_full = sweep_with_full_rebuild(&EvalEngine::new().threads(threads), &desc, VARIATION)
+        .expect("reference sweep runs");
     let sweep_fast =
         sweep_with(&EvalEngine::new().threads(threads), &desc, VARIATION).expect("sweep runs");
-    let matrix_full = interaction_matrix_with_full_rebuild(
-        &EvalEngine::new().threads(threads),
-        &desc,
-        VARIATION,
-    )
-    .expect("reference matrix runs");
-    let matrix_fast = interaction_matrix_with(&EvalEngine::new().threads(threads), &desc, VARIATION)
-        .expect("matrix runs");
+    let matrix_full =
+        interaction_matrix_with_full_rebuild(&EvalEngine::new().threads(threads), &desc, VARIATION)
+            .expect("reference matrix runs");
+    let matrix_fast =
+        interaction_matrix_with(&EvalEngine::new().threads(threads), &desc, VARIATION)
+            .expect("matrix runs");
 
     let sweep_cmp = Comparison {
         full: bench("sweep/full_rebuild", budget, max_iters, || {
@@ -206,7 +203,11 @@ fn main() {
             m.min.as_secs_f64(),
             m.max.as_secs_f64()
         );
-        doc.push_str(if i + 1 < measurements.len() { ",\n" } else { "\n" });
+        doc.push_str(if i + 1 < measurements.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     doc.push_str("  ],\n  \"threads\": ");
     let _ = write!(doc, "{threads}");

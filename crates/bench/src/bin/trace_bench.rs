@@ -138,7 +138,11 @@ impl TraceGen {
                 *t += 6;
                 let columns = 1 + self.rng.next() % 4;
                 for i in 0..columns {
-                    let op = if (self.rng.next() + i) % 2 == 1 { "wr" } else { "rd" };
+                    let op = if (self.rng.next() + i) % 2 == 1 {
+                        "wr"
+                    } else {
+                        "rd"
+                    };
                     let _ = writeln!(buf, "{t} {op} {bank}");
                     *t += 4;
                 }
@@ -218,7 +222,9 @@ fn main() {
         gen.episode(&mut buf);
         if buf.len() >= args.chunk {
             write_chunk(conn.stream(), buf.as_bytes()).expect("chunk");
-            decoder.feed(buf.as_bytes(), &mut sink).expect("legal trace");
+            decoder
+                .feed(buf.as_bytes(), &mut sink)
+                .expect("legal trace");
             buf.clear();
         }
     }
@@ -227,7 +233,9 @@ fn main() {
         let _ = writeln!(buf, "!length {}", gen.cycle + 100);
     }
     write_chunk(conn.stream(), buf.as_bytes()).expect("chunk");
-    decoder.feed(buf.as_bytes(), &mut sink).expect("legal trace");
+    decoder
+        .feed(buf.as_bytes(), &mut sink)
+        .expect("legal trace");
     write_chunk(conn.stream(), b"").expect("last chunk");
     decoder.finish(&mut sink).expect("legal trace");
 
@@ -243,8 +251,7 @@ fn main() {
     let commands = fold.commands();
     let bytes = decoder.bytes_fed();
     let report = fold.finish(declared_length).expect("bills");
-    let expected =
-        dram_server::api::trace_document(PRESET, &report, commands, bytes).to_string();
+    let expected = dram_server::api::trace_document(PRESET, &report, commands, bytes).to_string();
     assert_eq!(
         body, expected,
         "served report diverged from the in-memory fold"

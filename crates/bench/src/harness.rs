@@ -50,7 +50,12 @@ impl Measurement {
 /// calibrated from the warm-up duration so the whole measurement stays
 /// near `budget`, clamped to `[1, max_iters]`: long routines (full
 /// report regenerations) run a handful of times, short ones thousands.
-pub fn bench<T>(name: &str, budget: Duration, max_iters: u32, mut f: impl FnMut() -> T) -> Measurement {
+pub fn bench<T>(
+    name: &str,
+    budget: Duration,
+    max_iters: u32,
+    mut f: impl FnMut() -> T,
+) -> Measurement {
     let warm_start = Instant::now();
     std::hint::black_box(f());
     let warm = warm_start.elapsed();
@@ -135,7 +140,11 @@ pub fn to_json(measurements: &[Measurement]) -> String {
             m.min.as_secs_f64(),
             m.max.as_secs_f64()
         );
-        out.push_str(if i + 1 < measurements.len() { ",\n" } else { "\n" });
+        out.push_str(if i + 1 < measurements.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     out.push_str("  ]\n}\n");
     out
@@ -175,7 +184,10 @@ mod tests {
         assert!(j.contains("mean_s"));
         // The shared decoder accepts what the harness writes.
         let doc = json::Value::parse(&j).expect("harness output is valid JSON");
-        let runs = doc.get("benchmarks").and_then(json::Value::as_array).unwrap();
+        let runs = doc
+            .get("benchmarks")
+            .and_then(json::Value::as_array)
+            .unwrap();
         assert_eq!(runs.len(), 1);
         assert_eq!(
             runs[0].get("name").and_then(json::Value::as_str),

@@ -565,7 +565,10 @@ impl ModelCache {
             if building.insert(key) {
                 break;
             }
-            building = self.built.wait(building).unwrap_or_else(PoisonError::into_inner);
+            building = self
+                .built
+                .wait(building)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         drop(building);
         // Leaves the set on every exit, including an unwinding build.
@@ -763,10 +766,7 @@ impl EvalEngine {
     /// # Errors
     ///
     /// Returns [`ModelError`] if the description fails validation.
-    pub fn model_traced(
-        &self,
-        desc: &DramDescription,
-    ) -> Result<(Arc<Dram>, bool), ModelError> {
+    pub fn model_traced(&self, desc: &DramDescription) -> Result<(Arc<Dram>, bool), ModelError> {
         self.cache.get_or_build_traced(desc)
     }
 
@@ -780,10 +780,7 @@ impl EvalEngine {
     /// becomes [`ModelError::Panicked`] in that slot, the rest of the
     /// batch completes normally. (The lower-level [`EvalEngine::map`]
     /// keeps the propagate-panics contract for library callers.)
-    pub fn evaluate_many(
-        &self,
-        descs: &[DramDescription],
-    ) -> Vec<Result<Arc<Dram>, ModelError>> {
+    pub fn evaluate_many(&self, descs: &[DramDescription]) -> Vec<Result<Arc<Dram>, ModelError>> {
         let _s = dram_obs::span("engine.evaluate_many").arg("items", descs.len());
         self.map(descs, |d| {
             isolate(|| {
@@ -859,10 +856,9 @@ impl EvalEngine {
                 dram_faults::trip("engine.worker");
                 SCRATCH.with(|cell| {
                     let mut slot = cell.borrow_mut();
-                    let (desc, batch) = slot
-                        .get_or_insert_with(|| (base.clone(), ChargeBatch::default()));
-                    let _span =
-                        dram_obs::span("model.rebuild").arg("edits", pert.edits().len());
+                    let (desc, batch) =
+                        slot.get_or_insert_with(|| (base.clone(), ChargeBatch::default()));
+                    let _span = dram_obs::span("model.rebuild").arg("edits", pert.edits().len());
                     crate::model::model_rebuilds_total().inc();
                     desc.clone_from(base);
                     pert.apply(desc);
@@ -876,12 +872,15 @@ impl EvalEngine {
                     } else {
                         base_model.geometry()
                     };
-                    let charges_dirty = dirty.contains(BuildPhase::Devices)
-                        || dirty.contains(BuildPhase::Charges);
+                    let charges_dirty =
+                        dirty.contains(BuildPhase::Devices) || dirty.contains(BuildPhase::Charges);
                     let (ops, skipped) = if charges_dirty {
                         let m = ChargeModel::new(desc, geom);
                         batch.fill(&m);
-                        (batch.op_externals(&desc.electrical), u64::from(!geometry_dirty))
+                        (
+                            batch.op_externals(&desc.electrical),
+                            u64::from(!geometry_dirty),
+                        )
                     } else {
                         // Geometry, devices and charges all clean: the
                         // base charge lanes re-convert at the new
@@ -890,10 +889,7 @@ impl EvalEngine {
                     };
                     crate::model::rebuild_phases_skipped_total().add(skipped);
                     if skipped > 0 {
-                        dram_obs::journal::note(
-                            dram_obs::journal::EventKind::RebuildSkip,
-                            skipped,
-                        );
+                        dram_obs::journal::note(dram_obs::journal::EventKind::RebuildSkip, skipped);
                     }
                     let command_energy: Joules = commands
                         .iter()
@@ -993,9 +989,7 @@ impl EvalEngine {
         });
 
         // Deterministic reduction: place by original index.
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None)
-            .take(items.len())
-            .collect();
+        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
         for (i, r) in parts.into_iter().flatten() {
             debug_assert!(slots[i].is_none(), "index {i} computed twice");
             slots[i] = Some(r);
@@ -1023,9 +1017,7 @@ impl EvalEngine {
 /// unwinding. `AssertUnwindSafe` is sound here because the only shared
 /// state `f` touches is the model cache, whose locks are poison-tolerant
 /// and whose fault trip sits outside them.
-fn isolate<T>(
-    f: impl FnOnce() -> Result<T, ModelError>,
-) -> Result<T, ModelError> {
+fn isolate<T>(f: impl FnOnce() -> Result<T, ModelError>) -> Result<T, ModelError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(result) => result,
         Err(payload) => Err(ModelError::Panicked {
@@ -1067,11 +1059,23 @@ mod tests {
                         })
                     })
                     .collect();
-                handles.into_iter().map(|h| h.join().expect("lookup")).collect()
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("lookup"))
+                    .collect()
             });
-            assert!(models.iter().all(|m| Arc::ptr_eq(m, &models[0])), "round {round}");
+            assert!(
+                models.iter().all(|m| Arc::ptr_eq(m, &models[0])),
+                "round {round}"
+            );
         }
-        assert_eq!(cache.stats(), CacheStats { hits: 70, misses: 10 });
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 70,
+                misses: 10
+            }
+        );
     }
 
     #[test]
@@ -1153,7 +1157,10 @@ mod tests {
         assert!(out[0].is_ok());
         assert!(out[1].is_err());
         assert!(out[2].is_ok());
-        assert!(Arc::ptr_eq(out[0].as_ref().unwrap(), out[2].as_ref().unwrap()));
+        assert!(Arc::ptr_eq(
+            out[0].as_ref().unwrap(),
+            out[2].as_ref().unwrap()
+        ));
     }
 
     #[test]
@@ -1234,10 +1241,7 @@ mod tests {
                 h.write_u8(b'c');
             }),
         );
-        assert_eq!(
-            digest(&|h| h.write_usize(7)),
-            digest(&|h| h.write_u64(7)),
-        );
+        assert_eq!(digest(&|h| h.write_usize(7)), digest(&|h| h.write_u64(7)),);
         assert_eq!(
             digest(&|h| h.write_isize(-1)),
             digest(&|h| h.write_u64(u64::MAX)),
@@ -1326,7 +1330,9 @@ mod tests {
         for (pert, got) in perts.iter().zip(&fast) {
             let mut desc = base.clone();
             pert.apply(&mut desc);
-            let want = Dram::new(desc).expect("perturbed builds").mixed_workload_power();
+            let want = Dram::new(desc)
+                .expect("perturbed builds")
+                .mixed_workload_power();
             let got = got.as_ref().expect("fast path builds");
             assert_eq!(
                 got.power.watts().to_bits(),
@@ -1334,7 +1340,10 @@ mod tests {
                 "power differs for {:?}",
                 pert.edits()
             );
-            assert_eq!(got.current.amperes().to_bits(), want.current.amperes().to_bits());
+            assert_eq!(
+                got.current.amperes().to_bits(),
+                want.current.amperes().to_bits()
+            );
             assert_eq!(
                 got.background.watts().to_bits(),
                 want.background.watts().to_bits()
@@ -1361,7 +1370,10 @@ mod tests {
             let (a, b) = (a.as_ref().expect("ok"), b.as_ref().expect("ok"));
             assert_eq!(a.power.watts().to_bits(), b.power.watts().to_bits());
             assert_eq!(a.current.amperes().to_bits(), b.current.amperes().to_bits());
-            assert_eq!(a.background.watts().to_bits(), b.background.watts().to_bits());
+            assert_eq!(
+                a.background.watts().to_bits(),
+                b.background.watts().to_bits()
+            );
         }
     }
 
@@ -1397,7 +1409,10 @@ mod tests {
         engine
             .evaluate_perturbations(&base, &perts)
             .expect("base builds");
-        assert_eq!(crate::model::model_rebuilds_total().get() - rebuilds_before, 2);
+        assert_eq!(
+            crate::model::model_rebuilds_total().get() - rebuilds_before,
+            2
+        );
         assert_eq!(
             crate::model::rebuild_phases_skipped_total().get() - skipped_before,
             4
@@ -1418,7 +1433,9 @@ mod tests {
             other => panic!("expected Panicked, got {other:?}"),
         }
         // Display form used by the server's JSON error bodies.
-        let err = ModelError::Panicked { message: "boom".into() };
+        let err = ModelError::Panicked {
+            message: "boom".into(),
+        };
         assert_eq!(err.to_string(), "evaluation panicked: boom");
     }
 

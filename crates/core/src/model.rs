@@ -287,7 +287,11 @@ impl Dram {
     ///
     /// Returns [`ModelError`] exactly when `Dram::new(desc.clone())`
     /// would.
-    pub fn rebuild_from(&self, desc: &DramDescription, dirty: DirtySet) -> Result<Self, ModelError> {
+    pub fn rebuild_from(
+        &self,
+        desc: &DramDescription,
+        dirty: DirtySet,
+    ) -> Result<Self, ModelError> {
         let _build = dram_obs::span("model.rebuild").arg("dirty", dirty.len());
         model_rebuilds_total().inc();
         validate(desc)?;
@@ -808,7 +812,11 @@ mod tests {
                 );
             }
             let (a, b) = (diff.mixed_workload_power(), fresh.mixed_workload_power());
-            assert_eq!(a.power.watts().to_bits(), b.power.watts().to_bits(), "{param}");
+            assert_eq!(
+                a.power.watts().to_bits(),
+                b.power.watts().to_bits(),
+                "{param}"
+            );
         }
     }
 

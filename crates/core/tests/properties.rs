@@ -68,8 +68,7 @@ fn geometry_invariants_hold_for_random_organizations() {
                 );
                 // Wire lengths are consistent with the grid.
                 assert!(
-                    (g.master_wordline_length().meters() - g.block_along_wl.meters()).abs()
-                        < 1e-12,
+                    (g.master_wordline_length().meters() - g.block_along_wl.meters()).abs() < 1e-12,
                     "{ctx}"
                 );
             }
@@ -102,20 +101,38 @@ fn standard_loops_stay_legal_under_random_timing() {
 
         let idd0 = TimedPattern::idd0(timing, clock).expect("builds");
         assert!(idd0
-            .validate(timing, clock, 8, timing.tccd_cycles, InitialBankState::AllClosed)
+            .validate(
+                timing,
+                clock,
+                8,
+                timing.tccd_cycles,
+                InitialBankState::AllClosed
+            )
             .is_ok());
 
         let idd1 = TimedPattern::idd1(timing, clock).expect("builds");
         assert!(
-            idd1.validate(timing, clock, 8, timing.tccd_cycles, InitialBankState::AllClosed)
-                .is_ok(),
+            idd1.validate(
+                timing,
+                clock,
+                8,
+                timing.tccd_cycles,
+                InitialBankState::AllClosed
+            )
+            .is_ok(),
             "idd1 illegal at trc={trc_ns} clock={clock_mhz}"
         );
 
         let idd7 = TimedPattern::idd7(timing, clock, 8, timing.tccd_cycles).expect("builds");
         assert!(
-            idd7.validate(timing, clock, 8, timing.tccd_cycles, InitialBankState::AllClosed)
-                .is_ok(),
+            idd7.validate(
+                timing,
+                clock,
+                8,
+                timing.tccd_cycles,
+                InitialBankState::AllClosed
+            )
+            .is_ok(),
             "idd7 illegal at trc={trc_ns} trrd={trrd_ns} clock={clock_mhz}"
         );
     }

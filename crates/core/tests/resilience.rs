@@ -73,15 +73,16 @@ fn injected_worker_panic_spares_the_other_items() {
 fn injected_build_panic_does_not_poison_the_cache() {
     let _x = exclusive();
     let cache = ModelCache::new();
-    dram_faults::arm(
-        &dram_faults::Plan::parse("seed=1;engine.build=panic:times=1").expect("spec"),
-    );
+    dram_faults::arm(&dram_faults::Plan::parse("seed=1;engine.build=panic:times=1").expect("spec"));
     let desc = ddr3_1g_x16_55nm();
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ = cache.get_or_build(&desc);
     }));
     dram_faults::disarm();
-    assert!(caught.is_err(), "the injected panic unwinds through the cache");
+    assert!(
+        caught.is_err(),
+        "the injected panic unwinds through the cache"
+    );
     // The cache stays fully usable afterwards.
     assert!(cache.get_or_build(&desc).is_ok());
     assert_eq!(cache.len(), 1);
@@ -92,9 +93,7 @@ fn injected_build_panic_does_not_poison_the_cache() {
 #[test]
 fn injected_build_panic_releases_concurrent_waiters() {
     let _x = exclusive();
-    dram_faults::arm(
-        &dram_faults::Plan::parse("seed=4;engine.build=panic:times=1").expect("spec"),
-    );
+    dram_faults::arm(&dram_faults::Plan::parse("seed=4;engine.build=panic:times=1").expect("spec"));
     let engine = EvalEngine::new().threads(4);
     let out = engine.evaluate_many(&vec![ddr3_1g_x16_55nm(); 4]);
     dram_faults::disarm();
@@ -104,7 +103,11 @@ fn injected_build_panic_releases_concurrent_waiters() {
         .count();
     assert_eq!(panicked, 1, "{out:?}");
     assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 3);
-    assert_eq!(engine.cache_stats().misses, 2, "the panicked build plus one rebuild");
+    assert_eq!(
+        engine.cache_stats().misses,
+        2,
+        "the panicked build plus one rebuild"
+    );
 }
 
 #[test]
@@ -115,7 +118,12 @@ fn disarmed_runs_are_bit_identical_to_an_unfaulted_engine() {
     let baseline: Vec<u64> = engine
         .evaluate_many(&descs)
         .into_iter()
-        .map(|r| r.expect("builds").energy_per_bit_random().joules().to_bits())
+        .map(|r| {
+            r.expect("builds")
+                .energy_per_bit_random()
+                .joules()
+                .to_bits()
+        })
         .collect();
 
     // Arm, run under a delay fault (values must be unaffected), disarm,
@@ -127,7 +135,12 @@ fn disarmed_runs_are_bit_identical_to_an_unfaulted_engine() {
     let under_delay: Vec<u64> = faulted
         .evaluate_many(&descs)
         .into_iter()
-        .map(|r| r.expect("builds").energy_per_bit_random().joules().to_bits())
+        .map(|r| {
+            r.expect("builds")
+                .energy_per_bit_random()
+                .joules()
+                .to_bits()
+        })
         .collect();
     dram_faults::disarm();
     assert_eq!(baseline, under_delay, "delay faults never change values");
@@ -136,7 +149,12 @@ fn disarmed_runs_are_bit_identical_to_an_unfaulted_engine() {
     let after: Vec<u64> = clean
         .evaluate_many(&descs)
         .into_iter()
-        .map(|r| r.expect("builds").energy_per_bit_random().joules().to_bits())
+        .map(|r| {
+            r.expect("builds")
+                .energy_per_bit_random()
+                .joules()
+                .to_bits()
+        })
         .collect();
     assert_eq!(baseline, after);
 }

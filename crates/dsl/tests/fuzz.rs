@@ -9,7 +9,11 @@
 use dram_units::rng::SplitMix64;
 
 /// A random string over a charset closure, length in `[0, max_len]`.
-fn rand_string(r: &mut SplitMix64, max_len: usize, charset: impl Fn(&mut SplitMix64) -> char) -> String {
+fn rand_string(
+    r: &mut SplitMix64,
+    max_len: usize,
+    charset: impl Fn(&mut SplitMix64) -> char,
+) -> String {
     let len = r.range_usize(max_len + 1);
     (0..len).map(|_| charset(r)).collect()
 }
@@ -72,7 +76,11 @@ fn valid_prefix_with_garbage_suffix() {
 fn value_parsers_reject_garbage() {
     let mut r = SplitMix64::new(0xF003);
     for _ in 0..256 {
-        let s = rand_string(&mut r, 16, in_set(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ%/:_."));
+        let s = rand_string(
+            &mut r,
+            16,
+            in_set(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ%/:_."),
+        );
         let _ = dram_dsl::value::number(&s);
         let _ = dram_dsl::value::length(&s);
         let _ = dram_dsl::value::capacitance(&s);

@@ -343,10 +343,19 @@ mod tests {
         let e1 = EvalEngine::new().threads(1);
         let e8 = EvalEngine::new().threads(8);
         let runs = [
-            (wordline_hierarchy_with(&e1, &base()), wordline_hierarchy_with(&e8, &base())),
-            (bitline_length_with(&e1, &base()), bitline_length_with(&e8, &base())),
+            (
+                wordline_hierarchy_with(&e1, &base()),
+                wordline_hierarchy_with(&e8, &base()),
+            ),
+            (
+                bitline_length_with(&e1, &base()),
+                bitline_length_with(&e8, &base()),
+            ),
             (page_size_with(&e1, &base()), page_size_with(&e8, &base())),
-            (cell_architecture_with(&e1, &base()), cell_architecture_with(&e8, &base())),
+            (
+                cell_architecture_with(&e1, &base()),
+                cell_architecture_with(&e8, &base()),
+            ),
         ];
         for (serial, parallel) in runs {
             let (serial, parallel) = (serial.expect("ok"), parallel.expect("ok"));

@@ -91,8 +91,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--retry-seed" => {
                 let v = value_of("--retry-seed")?;
-                args.config.retry_seed =
-                    v.parse().map_err(|_| format!("bad retry seed `{v}`"))?;
+                args.config.retry_seed = v.parse().map_err(|_| format!("bad retry seed `{v}`"))?;
             }
             "--hedge-ms" => {
                 let v = value_of("--hedge-ms")?;

@@ -57,9 +57,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match a.as_str() {
             "--addr" => args.addr = value_of("--addr")?,
             "--threads" => {
@@ -72,15 +70,13 @@ fn parse_args() -> Result<Args, String> {
             }
             "--queue" => {
                 let v = value_of("--queue")?;
-                args.config.queue_depth = v
-                    .parse()
-                    .map_err(|_| format!("bad queue depth `{v}`"))?;
+                args.config.queue_depth =
+                    v.parse().map_err(|_| format!("bad queue depth `{v}`"))?;
             }
             "--max-body" => {
                 let v = value_of("--max-body")?;
-                args.config.limits.max_body = v
-                    .parse()
-                    .map_err(|_| format!("bad body limit `{v}`"))?;
+                args.config.limits.max_body =
+                    v.parse().map_err(|_| format!("bad body limit `{v}`"))?;
             }
             "--deadline-ms" => {
                 let v = value_of("--deadline-ms")?;
@@ -116,9 +112,7 @@ fn parse_args() -> Result<Args, String> {
             "--profile" => args.profile = Some(value_of("--profile")?),
             "--journal" => {
                 let v = value_of("--journal")?;
-                args.journal = v
-                    .parse()
-                    .map_err(|_| format!("bad journal size `{v}`"))?;
+                args.journal = v.parse().map_err(|_| format!("bad journal size `{v}`"))?;
             }
             "--shed-at" => {
                 let v = value_of("--shed-at")?;
@@ -131,9 +125,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--faults" => {
                 let v = value_of("--faults")?;
-                args.faults = Some(
-                    dram_faults::Plan::parse(&v).map_err(|e| format!("bad fault spec: {e}"))?,
-                );
+                args.faults =
+                    Some(dram_faults::Plan::parse(&v).map_err(|e| format!("bad fault spec: {e}"))?);
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),

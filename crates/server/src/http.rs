@@ -725,9 +725,7 @@ impl ChunkedBody {
             // Drain what we already hold before touching the socket.
             if self.buf_pos < self.buffered.len() {
                 let before = out.len();
-                let used = self
-                    .decoder
-                    .advance(&self.buffered[self.buf_pos..], out)?;
+                let used = self.decoder.advance(&self.buffered[self.buf_pos..], out)?;
                 self.buf_pos += used;
                 self.total += out.len() - before;
                 if self.total > self.max_stream {
@@ -801,7 +799,9 @@ fn parse_request_line(line: &str) -> Result<(String, String, String, bool), Http
         return Err(HttpError::BadRequest(format!("bad method `{method}`")));
     }
     if !target.starts_with('/') {
-        return Err(HttpError::BadRequest(format!("bad request target `{target}`")));
+        return Err(HttpError::BadRequest(format!(
+            "bad request target `{target}`"
+        )));
     }
     // Split the query string off; the API is mostly body-driven but
     // `/metrics` selects its format with `?format=...`.
@@ -895,7 +895,11 @@ impl Response {
             Self::reason(self.status),
             self.content_type,
             self.body.len(),
-            if self.keep_alive { "keep-alive" } else { "close" },
+            if self.keep_alive {
+                "keep-alive"
+            } else {
+                "close"
+            },
         );
         for (name, value) in &self.headers {
             head.push_str(name);

@@ -42,8 +42,7 @@ fn debug_family_reconstructs_timelines_and_profiles_live() {
     let addr = handle.local_addr();
 
     // One real request to have something to reconstruct.
-    let (status, body, id) =
-        exchange(addr, "POST", "/v1/evaluate", r#"{"preset":"ddr3_1g_55nm"}"#);
+    let (status, body, id) = exchange(addr, "POST", "/v1/evaluate", r#"{"preset":"ddr3_1g_55nm"}"#);
     assert_eq!(status, 200, "evaluate failed: {body}");
     assert!(!id.is_empty(), "evaluate response carried no x-request-id");
 
@@ -51,14 +50,21 @@ fn debug_family_reconstructs_timelines_and_profiles_live() {
     let (status, body, _) = exchange(addr, "GET", "/debug/events?n=64", "");
     assert_eq!(status, 200, "{body}");
     let doc = Value::parse(&body).expect("events JSON parses");
-    let events = doc.get("events").and_then(Value::as_array).expect("events array");
+    let events = doc
+        .get("events")
+        .and_then(Value::as_array)
+        .expect("events array");
     assert!(!events.is_empty(), "journal recorded nothing");
 
     // /debug/requests/<id> reconstructs the full lifecycle, in order.
     let (status, body, _) = exchange(addr, "GET", &format!("/debug/requests/{id}"), "");
     assert_eq!(status, 200, "{body}");
     let doc = Value::parse(&body).expect("timeline JSON parses");
-    assert_eq!(doc.get("complete").and_then(Value::as_bool), Some(true), "{body}");
+    assert_eq!(
+        doc.get("complete").and_then(Value::as_bool),
+        Some(true),
+        "{body}"
+    );
     let kinds: Vec<String> = doc
         .get("events")
         .and_then(Value::as_array)
@@ -83,8 +89,14 @@ fn debug_family_reconstructs_timelines_and_profiles_live() {
     let (status, body, _) = exchange(addr, "GET", "/debug/reactor", "");
     assert_eq!(status, 200, "{body}");
     let doc = Value::parse(&body).expect("reactor JSON parses");
-    assert!(doc.get("table").and_then(Value::as_array).is_some(), "{body}");
-    assert_eq!(doc.get("journal_enabled").and_then(Value::as_bool), Some(true));
+    assert!(
+        doc.get("table").and_then(Value::as_array).is_some(),
+        "{body}"
+    );
+    assert_eq!(
+        doc.get("journal_enabled").and_then(Value::as_bool),
+        Some(true)
+    );
 
     // /debug/profile arms span recording live and returns Chrome-trace
     // JSON that round-trips through the workspace codec.
@@ -97,7 +109,10 @@ fn debug_family_reconstructs_timelines_and_profiles_live() {
     );
     // The window disarmed recording again (the server was booted
     // without --profile).
-    assert!(!dram_obs::enabled(), "profile window left recording enabled");
+    assert!(
+        !dram_obs::enabled(),
+        "profile window left recording enabled"
+    );
 
     handle.shutdown();
     dram_obs::journal::configure(0);
@@ -186,7 +201,10 @@ fn debug_requests_never_enter_slow_request_sampling() {
         .and_then(|r| r.get("debug"))
         .and_then(Value::as_f64)
         .expect("debug route counter");
-    assert!(debug_count >= 4.0, "debug requests not counted: {debug_count}");
+    assert!(
+        debug_count >= 4.0,
+        "debug requests not counted: {debug_count}"
+    );
     // …but never sampled as slow.
     let samples = doc
         .get("slow_requests")

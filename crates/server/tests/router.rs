@@ -49,7 +49,10 @@ fn all_nodes_down_is_a_502_with_a_request_id() {
     assert_eq!(status, 200);
     let doc = Value::parse(&body).expect("metrics JSON");
     assert!(
-        doc.get("bad_gateway_total").and_then(Value::as_f64).unwrap_or(0.0) >= 1.0,
+        doc.get("bad_gateway_total")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0)
+            >= 1.0,
         "{body}"
     );
     router.shutdown();
@@ -145,13 +148,20 @@ fn upstream_death_mid_body_poisons_the_client_and_is_never_retried() {
     // The client sees the head, a truncated body, then a hard close —
     // never a spliced second response.
     let mut conn = Connection::open(router.local_addr(), Duration::from_secs(10)).expect("connect");
-    conn.send(&Request::post("/v1/evaluate", r#"{"preset":"ddr3_1g_x16_55nm"}"#))
-        .expect("send");
+    conn.send(&Request::post(
+        "/v1/evaluate",
+        r#"{"preset":"ddr3_1g_x16_55nm"}"#,
+    ))
+    .expect("send");
     let mut carry = Vec::new();
     let head = client::read_head(conn.stream(), &mut carry, Limits::default().max_head)
         .expect("head was relayed");
     assert_eq!(head.status, 200, "{head:?}");
-    assert_eq!(head.content_length(), Some(100_000), "original framing relayed: {head:?}");
+    assert_eq!(
+        head.content_length(),
+        Some(100_000),
+        "original framing relayed: {head:?}"
+    );
     let err = client::read_body(conn.stream(), &mut carry, head.content_length())
         .expect_err("body must be truncated");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
@@ -159,13 +169,20 @@ fn upstream_death_mid_body_poisons_the_client_and_is_never_retried() {
     // Exactly one upstream attempt: a request that already relayed
     // bytes is not retryable.
     std::thread::sleep(Duration::from_millis(400));
-    assert_eq!(hits.load(Ordering::SeqCst), 1, "mid-body failure was retried");
+    assert_eq!(
+        hits.load(Ordering::SeqCst),
+        1,
+        "mid-body failure was retried"
+    );
 
     let (status, body, _) = exchange(router.local_addr(), "GET", "/metrics", "");
     assert_eq!(status, 200);
     let doc = Value::parse(&body).expect("metrics JSON");
     assert!(
-        doc.get("poisoned_total").and_then(Value::as_f64).unwrap_or(0.0) >= 1.0,
+        doc.get("poisoned_total")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0)
+            >= 1.0,
         "poisoned counter missing: {body}"
     );
     router.shutdown();

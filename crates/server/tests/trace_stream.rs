@@ -60,7 +60,8 @@ fn chunked(addr: SocketAddr, path: &str, payload: &[u8], chunk: usize) -> (u16, 
 /// A trace that visits every power state: bursts of work, an explicit
 /// power-down window, then a long self-refresh sleep and an idle tail.
 fn sample_trace() -> String {
-    let mut t = String::from("# exercise all five states\n!preset ddr3_1g_x16_55nm\n!policy aggressive\n");
+    let mut t =
+        String::from("# exercise all five states\n!preset ddr3_1g_x16_55nm\n!policy aggressive\n");
     for i in 0..200u64 {
         let c = i * 100;
         let bank = i % 8;
@@ -99,13 +100,8 @@ fn reference_body(payload: &[u8]) -> String {
     let fold = fold.expect("has commands");
     let commands = fold.commands();
     let report = fold.finish(length).expect("bills");
-    dram_server::api::trace_document(
-        "ddr3_1g_x16_55nm",
-        &report,
-        commands,
-        payload.len() as u64,
-    )
-    .to_string()
+    dram_server::api::trace_document("ddr3_1g_x16_55nm", &report, commands, payload.len() as u64)
+        .to_string()
 }
 
 #[test]
@@ -130,7 +126,10 @@ fn streamed_trace_reports_per_state_breakdown() {
         "active_power_down",
         "self_refresh",
     ] {
-        assert!(states.get(label).is_some(), "missing state `{label}`: {body}");
+        assert!(
+            states.get(label).is_some(),
+            "missing state `{label}`: {body}"
+        );
     }
     let sr = states
         .get("self_refresh")
@@ -152,7 +151,10 @@ fn streamed_reports_are_bit_identical_to_the_library_fold() {
         let addr = server.local_addr();
         let (status, body) = call(addr, Request::post("/v1/trace", payload.as_bytes()));
         assert_eq!(status, 200, "{body}");
-        assert_eq!(body, expected, "buffered framing diverged at {threads} threads");
+        assert_eq!(
+            body, expected,
+            "buffered framing diverged at {threads} threads"
+        );
         for chunk in [7, 256, 4096, payload.len()] {
             let (status, body) = chunked(addr, "/v1/trace", payload.as_bytes(), chunk);
             assert_eq!(status, 200, "{body}");

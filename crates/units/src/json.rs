@@ -391,8 +391,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err(format!("unparseable number `{text}`")))
@@ -437,13 +437,11 @@ impl Parser<'_> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let cp =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(cp)
                                     .ok_or_else(|| self.err("invalid surrogate pair"))?
                             } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| self.err("invalid code point"))?
+                                char::from_u32(hi).ok_or_else(|| self.err("invalid code point"))?
                             };
                             out.push(c);
                             // hex4 leaves pos past the digits; skip the
@@ -572,9 +570,15 @@ mod tests {
     fn megabyte_string_parses_linearly() {
         let text = "ab\u{e9}\u{1F600}".repeat(1 << 17);
         let v = Value::parse(&format!("[\"{text}\\n\"]")).unwrap();
-        assert_eq!(v.as_array().unwrap()[0].as_str().unwrap(), format!("{text}\n"));
+        assert_eq!(
+            v.as_array().unwrap()[0].as_str().unwrap(),
+            format!("{text}\n")
+        );
         let err = Value::parse("\"abc\u{1}def\"").unwrap_err();
-        assert_eq!((err.offset, err.message.as_str()), (4, "unescaped control character"));
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (4, "unescaped control character")
+        );
     }
 
     #[test]

@@ -305,8 +305,7 @@ pub fn simulate(dram: &Dram, trace: &Trace, policy: PowerDownPolicy) -> TraceRep
         self_refresh_energy,
     );
 
-    let bits =
-        column_accesses as f64 * f64::from(dram.description().spec.bits_per_column_access());
+    let bits = column_accesses as f64 * f64::from(dram.description().spec.bits_per_column_access());
     let duration = trace.duration(clock);
     let average_power = if duration.seconds() > 0.0 {
         Watts::new(energy.joules() / duration.seconds())
@@ -448,7 +447,10 @@ mod tests {
             .iter()
             .map(|c| dram.command_energy(c.command))
             .sum();
-        assert_eq!(r.row_energy.joules().to_bits(), naive_row.joules().to_bits());
+        assert_eq!(
+            r.row_energy.joules().to_bits(),
+            naive_row.joules().to_bits()
+        );
         assert_eq!(
             r.command_energy.joules().to_bits(),
             naive_all.joules().to_bits()
@@ -506,7 +508,8 @@ mod tests {
         // deep tier costs more than idealized power-down-forever yet the
         // breakdown must still cover every cycle exactly once.
         assert_eq!(
-            two_tier.power_down_cycles + two_tier.self_refresh_cycles
+            two_tier.power_down_cycles
+                + two_tier.self_refresh_cycles
                 + two_tier.states.cycles(TraceState::Standby),
             40_000
         );

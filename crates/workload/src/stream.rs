@@ -17,7 +17,7 @@ use std::time::Instant;
 use dram_core::{Command, Dram};
 use dram_units::{Joules, Seconds, Watts};
 
-use crate::energy::{CommandEnergyTable, PowerDownPolicy, StateBreakdown, TraceState, TraceReport};
+use crate::energy::{CommandEnergyTable, PowerDownPolicy, StateBreakdown, TraceReport, TraceState};
 use crate::trace::TraceCommand;
 
 /// Process-wide count of commands folded from streamed traces.
@@ -274,10 +274,7 @@ impl TraceDecoder {
             return Err(TraceError::at(
                 self.line + 1,
                 TraceErrorKind::LineTooLong,
-                format!(
-                    "line exceeds {} bytes",
-                    Self::MAX_LINE_BYTES
-                ),
+                format!("line exceeds {} bytes", Self::MAX_LINE_BYTES),
             ));
         }
         Ok(())
@@ -321,35 +318,34 @@ impl TraceDecoder {
                 _ => Err(syntax("!length takes exactly one cycle count".into())),
             },
             "policy" => {
-                let policy = match rest.as_slice() {
-                    ["never"] => PowerDownPolicy::NEVER,
-                    ["aggressive"] => PowerDownPolicy::AGGRESSIVE,
-                    [thr, exit] | [thr, exit, "-", "-"] => PowerDownPolicy {
-                        threshold_cycles: parse_u64(line, "threshold", thr)?,
-                        exit_latency_cycles: parse_u64(line, "exit latency", exit)?,
-                        ..PowerDownPolicy::NEVER
-                    },
-                    [thr, exit, sr_thr, sr_exit] => PowerDownPolicy {
-                        threshold_cycles: parse_u64(line, "threshold", thr)?,
-                        exit_latency_cycles: parse_u64(line, "exit latency", exit)?,
-                        self_refresh_threshold_cycles: parse_u64(
-                            line,
-                            "self-refresh threshold",
-                            sr_thr,
-                        )?,
-                        self_refresh_exit_latency_cycles: parse_u64(
-                            line,
-                            "self-refresh exit latency",
-                            sr_exit,
-                        )?,
-                    },
-                    _ => {
-                        return Err(syntax(
+                let policy =
+                    match rest.as_slice() {
+                        ["never"] => PowerDownPolicy::NEVER,
+                        ["aggressive"] => PowerDownPolicy::AGGRESSIVE,
+                        [thr, exit] | [thr, exit, "-", "-"] => PowerDownPolicy {
+                            threshold_cycles: parse_u64(line, "threshold", thr)?,
+                            exit_latency_cycles: parse_u64(line, "exit latency", exit)?,
+                            ..PowerDownPolicy::NEVER
+                        },
+                        [thr, exit, sr_thr, sr_exit] => PowerDownPolicy {
+                            threshold_cycles: parse_u64(line, "threshold", thr)?,
+                            exit_latency_cycles: parse_u64(line, "exit latency", exit)?,
+                            self_refresh_threshold_cycles: parse_u64(
+                                line,
+                                "self-refresh threshold",
+                                sr_thr,
+                            )?,
+                            self_refresh_exit_latency_cycles: parse_u64(
+                                line,
+                                "self-refresh exit latency",
+                                sr_exit,
+                            )?,
+                        },
+                        _ => return Err(syntax(
                             "!policy takes never | aggressive | <thr> <exit> [<sr_thr> <sr_exit>]"
                                 .into(),
-                        ))
-                    }
-                };
+                        )),
+                    };
                 Ok(TraceEvent::Policy(policy))
             }
             other => Err(TraceError::at(
@@ -400,9 +396,13 @@ impl TraceDecoder {
 }
 
 fn parse_u64(line: u64, what: &str, token: &str) -> Result<u64, TraceError> {
-    token
-        .parse::<u64>()
-        .map_err(|_| TraceError::at(line, TraceErrorKind::Syntax, format!("bad {what} {token:?}")))
+    token.parse::<u64>().map_err(|_| {
+        TraceError::at(
+            line,
+            TraceErrorKind::Syntax,
+            format!("bad {what} {token:?}"),
+        )
+    })
 }
 
 /// The device's explicit CKE-low residency, while commands say so.
@@ -795,15 +795,15 @@ impl StreamFold {
 
         let states = self.states;
         let command_energy = self.command_energy;
-        let background_energy = states.energy(TraceState::Active) + states.energy(TraceState::Standby);
+        let background_energy =
+            states.energy(TraceState::Active) + states.energy(TraceState::Standby);
         let power_down_energy = states.energy(TraceState::PrechargePowerDown)
             + states.energy(TraceState::ActivePowerDown);
         let self_refresh_energy = states.energy(TraceState::SelfRefresh);
         let power_down_cycles = states.cycles(TraceState::PrechargePowerDown)
             + states.cycles(TraceState::ActivePowerDown);
         let self_refresh_cycles = states.cycles(TraceState::SelfRefresh);
-        let energy =
-            command_energy + background_energy + power_down_energy + self_refresh_energy;
+        let energy = command_energy + background_energy + power_down_energy + self_refresh_energy;
         let duration = Seconds::new(end as f64 * self.cycle_time);
         let bits = self.column_accesses as f64 * self.bits_per_column;
         let average_power = if duration.seconds() > 0.0 {
@@ -874,7 +874,11 @@ mod tests {
         let input = b"# comment\n!preset ddr3_1g_x16_55nm\n!policy aggressive\n0 act 2\n12 rd 2\n28 pre 2\n!length 100\n";
         let whole = decode_all(input, input.len()).expect("whole");
         for chunk in [1, 2, 3, 7, 16] {
-            assert_eq!(decode_all(input, chunk).expect("split"), whole, "chunk {chunk}");
+            assert_eq!(
+                decode_all(input, chunk).expect("split"),
+                whole,
+                "chunk {chunk}"
+            );
         }
         assert_eq!(whole.len(), 6);
         assert!(matches!(&whole[0], TraceEvent::Preset(p) if p == "ddr3_1g_x16_55nm"));
@@ -960,8 +964,14 @@ mod tests {
         let expect = |s: TraceState, cycles: u64| {
             (s.power(&dram) * Seconds::new(cycles as f64 * ct)).joules()
         };
-        assert!((r.states.energy(TraceState::Active).joules() - expect(TraceState::Active, 10)).abs() < 1e-18);
-        assert!((r.states.energy(TraceState::Standby).joules() - expect(TraceState::Standby, 43)).abs() < 1e-18);
+        assert!(
+            (r.states.energy(TraceState::Active).joules() - expect(TraceState::Active, 10)).abs()
+                < 1e-18
+        );
+        assert!(
+            (r.states.energy(TraceState::Standby).joules() - expect(TraceState::Standby, 43)).abs()
+                < 1e-18
+        );
         assert!(
             (r.power_down_energy.joules() - expect(TraceState::PrechargePowerDown, 147)).abs()
                 < 1e-18
@@ -1066,8 +1076,8 @@ mod tests {
             let streamed = fold.finish(Some(w.trace.length_cycles())).expect("report");
             assert_eq!(streamed.power_down_cycles, batch.power_down_cycles);
             assert_eq!(streamed.self_refresh_cycles, batch.self_refresh_cycles);
-            let rel = (streamed.energy.joules() - batch.energy.joules()).abs()
-                / batch.energy.joules();
+            let rel =
+                (streamed.energy.joules() - batch.energy.joules()).abs() / batch.energy.joules();
             assert!(rel < 1e-9, "relative divergence {rel}");
             assert_eq!(
                 streamed.command_energy.joules().to_bits(),
@@ -1143,7 +1153,10 @@ mod tests {
         let reference = run(&dram);
         let reports: Vec<TraceReport> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8).map(|_| scope.spawn(|| run(&dram))).collect();
-            handles.into_iter().map(|h| h.join().expect("join")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("join"))
+                .collect()
         });
         for r in reports {
             assert_eq!(

@@ -68,7 +68,10 @@ fn accounting_is_consistent() {
             "{spec:?}"
         );
         let pd = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE);
-        assert!(pd.energy.joules() <= base.energy.joules() + 1e-15, "{spec:?}");
+        assert!(
+            pd.energy.joules() <= base.energy.joules() + 1e-15,
+            "{spec:?}"
+        );
     }
 }
 
@@ -110,8 +113,11 @@ fn closed_page_command_energy_dominates_open() {
     for _ in 0..CASES {
         let seed = r.next_u64();
         let open = generate(&dram, &WorkloadSpec::streaming(150, seed)).expect("ok");
-        let closed =
-            generate(&dram, &WorkloadSpec::streaming(150, seed).with_closed_page()).expect("ok");
+        let closed = generate(
+            &dram,
+            &WorkloadSpec::streaming(150, seed).with_closed_page(),
+        )
+        .expect("ok");
         let e_open = simulate(&dram, &open.trace, PowerDownPolicy::NEVER).command_energy;
         let e_closed = simulate(&dram, &closed.trace, PowerDownPolicy::NEVER).command_energy;
         assert!(e_closed.joules() >= e_open.joules(), "seed={seed}");

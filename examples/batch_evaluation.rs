@@ -17,7 +17,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(n) = std::env::args().nth(1) {
         engine = engine.threads(n.parse()?);
     }
-    println!("evaluation engine: {} worker thread(s)\n", engine.thread_count());
+    println!(
+        "evaluation engine: {} worker thread(s)\n",
+        engine.thread_count()
+    );
 
     // One model build, timed — the unit of work the engine parallelizes
     // and memoizes.
@@ -35,7 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let roadmap = all_generations();
     let t = Instant::now();
     let models = engine.evaluate_many(&roadmap);
-    println!("\n{} roadmap generations in {:?}:", models.len(), t.elapsed());
+    println!(
+        "\n{} roadmap generations in {:?}:",
+        models.len(),
+        t.elapsed()
+    );
     for (desc, model) in roadmap.iter().zip(&models) {
         let dram = model.as_ref().expect("roadmap presets are valid");
         println!(

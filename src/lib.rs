@@ -50,8 +50,8 @@
 
 pub use dram_core::{
     BuildPhase, CacheStats, Command, DirtySet, Dram, DramDescription, EngineSnapshot, EvalEngine,
-    IddKind, IddReport, ModelCache, ModelError, Operation, OperationEnergy, ParamCategory,
-    ParamId, Pattern, Perturbation, PowerState, PowerSummary, TemperatureRange, VoltageDomain,
+    IddKind, IddReport, ModelCache, ModelError, Operation, OperationEnergy, ParamCategory, ParamId,
+    Pattern, Perturbation, PowerState, PowerSummary, TemperatureRange, VoltageDomain,
 };
 
 pub use dram_core as model;

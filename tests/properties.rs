@@ -87,7 +87,11 @@ fn power_is_linear_in_vdd() {
         ParamId::Vdd.apply(&mut desc, f);
         let scaled = Dram::new(desc).expect("valid");
         let p1 = scaled.mixed_workload_power().power.watts();
-        assert!((p1 / p0 - f).abs() < 1e-9, "ratio {} vs factor {f}", p1 / p0);
+        assert!(
+            (p1 / p0 - f).abs() < 1e-9,
+            "ratio {} vs factor {f}",
+            p1 / p0
+        );
     }
 }
 
@@ -123,8 +127,8 @@ fn dsl_roundtrip_on_perturbed_devices() {
 fn pattern_power_is_convex_in_command_density() {
     use dram_energy::{Command, Pattern};
     let dram = Dram::new(ddr3_1g_x16_55nm()).expect("valid");
-    let denser = Pattern::new(vec![Command::Activate, Command::Read, Command::Precharge])
-        .expect("nonempty");
+    let denser =
+        Pattern::new(vec![Command::Activate, Command::Read, Command::Precharge]).expect("nonempty");
     let dense_power = dram.pattern_power(&denser).power.watts();
     for nops in 0usize..24 {
         let mut slots = vec![Command::Activate, Command::Read, Command::Precharge];
