@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: everything a PR must keep green, in dependency order.
 #
-#   ./ci.sh            full run (build, tests, clippy, repro smoke)
+#   ./ci.sh            full run (build, format, tests, clippy, repro smoke)
 #   ./ci.sh --fast     skip clippy and the repro smoke
 #
 # The workspace has no external dependencies, so everything runs with
@@ -14,6 +14,9 @@ fast=0
 
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release --offline
+
+echo "==> cargo fmt --check"
+cargo fmt --all -- --check
 
 echo "==> cargo test --workspace"
 # --no-fail-fast: one failing test binary must not hide another.
